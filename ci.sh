@@ -4,7 +4,8 @@
 # event-horizon coalescing on vs off, and render caching on vs off must
 # all produce byte-identical EXPERIMENTS.md / .json artifacts), the
 # detector-on replays of the detection experiment, the 16-seed campaign
-# metamorphic-oracle sweep, and the bench medians gate.
+# metamorphic-oracle sweep, a short run of every perfbench workload, and
+# the bench medians gate.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -196,6 +197,24 @@ cargo run --offline --release -q -p containerleaks-experiments --bin campaign --
 same "$tmp/camp1.md" "$tmp/camp4.md"
 same "$tmp/camp1.json" "$tmp/camp4.json"
 echo "16 scenarios green, report byte-identical across job counts"
+
+echo "== benchmark harness: build, tests, a short run of every workload =="
+# perfbench is a Cargo package of its own, so the workspace steps above
+# never compile it; without this step a public-API change could break
+# the benchmark unnoticed. Each workload runs through the BENCHMARK.json
+# command and must exit zero with every output check passing.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+python3 perfbench/test_steady.py
+for w in power_watch tenant_scan fleet_week; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 2 --trace 0 > "$tmp/bench-$w.txt"
+    if ! tail -n 1 "$tmp/bench-$w.txt" | grep -q '"correct": true'; then
+        echo "ci: FAIL — perfbench $w reported failed checks:" >&2
+        tail -n 3 "$tmp/bench-$w.txt" >&2
+        exit 1
+    fi
+done
+echo "perfbench builds, its tests pass, every workload runs clean"
 
 echo "== bench medians vs committed baseline =="
 ./scripts/bench_compare.sh

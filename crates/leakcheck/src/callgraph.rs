@@ -10,9 +10,7 @@
 //! context/mask gating state [`classify`](crate::classify) computes, so
 //! taint can be cut at view-routed call sites.
 //!
-//! Four call shapes cover the audited sources (asserted by the registry
-//! cross-check in [`audit`](crate::audit), which fails on any dispatch
-//! arm this parser would not see):
+//! Four call shapes cover the audited sources:
 //!
 //! 1. `name(..)` — a bare call to a function in the same module;
 //! 2. `name(..)` where `name` was imported via `use super::…` — a call

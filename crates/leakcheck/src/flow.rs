@@ -3,7 +3,7 @@
 //!
 //! Sources are the 12 dirty-epoch subsystem bits ([`simkernel::dep`])
 //! reachable through each `Kernel` accessor; sinks are the bytes a
-//! route's handler (or fast path) renders. Per function, three bitmasks
+//! route's handler renders. Per function, three bitmasks
 //! are propagated over the [`callgraph`](crate::callgraph) to a
 //! fixpoint:
 //!
@@ -148,8 +148,6 @@ pub struct RouteSpec {
     pub pattern: String,
     /// Qualified handler name, `module::fn`.
     pub handler: String,
-    /// Qualified fast-path renderer, if registered.
-    pub fast_into: Option<String>,
     /// The mask the registry declares for the render cache.
     pub declared: u32,
 }
@@ -167,7 +165,7 @@ pub struct MaskFinding {
     pub allowed: Option<String>,
 }
 
-/// Per-route flow at the fixpoint, handler and fast path unioned.
+/// Per-route flow at the fixpoint.
 #[derive(Debug, Clone)]
 pub struct RouteFlow {
     /// The route's path pattern.
@@ -218,7 +216,7 @@ pub fn check_routes(
     let mut missing = Vec::new();
     let mut extra = Vec::new();
     for spec in specs {
-        let mut sink = flows
+        let sink = flows
             .get(&spec.handler)
             .ok_or_else(|| {
                 format!(
@@ -227,16 +225,6 @@ pub fn check_routes(
                 )
             })?
             .clone();
-        if let Some(into) = &spec.fast_into {
-            let f = flows
-                .get(into)
-                .ok_or_else(|| format!("`{}`: fast path `{into}` not in flow map", spec.pattern))?;
-            sink.full |= f.full;
-            sink.unrouted |= f.unrouted;
-            sink.neutral |= f.neutral;
-            sink.ns_routed |= f.ns_routed;
-            sink.unknown.extend(f.unknown.iter().cloned());
-        }
         if !sink.unknown.is_empty() {
             return Err(format!(
                 "`{}` ({}): kernel accessors {:?} have no dirty-epoch subsystem mapping but are \
@@ -408,7 +396,6 @@ mod tests {
             &[RouteSpec {
                 pattern: "/proc/seeded".into(),
                 handler: "m::leaky".into(),
-                fast_into: None,
                 declared: dep::FS,
             }],
         )
@@ -430,7 +417,6 @@ mod tests {
             &[RouteSpec {
                 pattern: "/proc/over".into(),
                 handler: "m::small".into(),
-                fast_into: None,
                 declared: dep::FS | dep::CLOCK,
             }],
         )
@@ -453,7 +439,6 @@ mod tests {
             &[RouteSpec {
                 pattern: "/proc/odd".into(),
                 handler: "m::odd".into(),
-                fast_into: None,
                 declared: 0,
             }],
         )

@@ -1,14 +1,11 @@
-//! Path dispatch and tree enumeration.
+//! Reads through the route table, and tree enumeration.
 
 use simkernel::{dep, Kernel, RenderHit};
 
 use crate::error::FsError;
 use crate::faultfx;
-use crate::registry;
-use crate::render::{
-    proc_basic, proc_irq, proc_kernel, proc_misc, proc_pid, proc_sched, proc_vm, sys_cgroup,
-    sys_node, sys_power,
-};
+use crate::registry::{self, ROUTES};
+use crate::render::proc_pid;
 use crate::view::{MaskAction, View};
 
 /// Reserved cache key for directory listings — NUL-prefixed so it can
@@ -20,13 +17,6 @@ const LIST_KEY: &str = "\u{0}list";
 /// visibility is read through the namespace registry, and every spawn
 /// or kill bumps NS, so the process-table bit is not needed here.
 pub const LIST_DEPS: u32 = dep::HW | dep::FS | dep::NS | dep::MEM;
-
-/// The dependency mask to tag a cached render of `path` with: the
-/// registered route's declared deps, or every subsystem for paths
-/// outside the registry (conservative, never stale).
-fn deps_for(path: &str) -> u32 {
-    registry::route_for(path).map_or(dep::ALL, |r| r.deps)
-}
 
 /// The pseudo filesystem: a stateless router over the kernel's state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -113,8 +103,7 @@ impl PseudoFs {
     ///   transient: the same read can succeed once the window passes.
     pub fn read(&self, k: &Kernel, view: &View, path: &str) -> Result<String, FsError> {
         // Delegates to `read_into` so both entry points share one
-        // cache-coherent path (the hand-written `_into` fast renderers
-        // produce the same bytes as their `dispatch` counterparts).
+        // cache-coherent path.
         let mut out = String::new();
         self.read_into(k, view, path, &mut out)?;
         Ok(out)
@@ -145,7 +134,7 @@ impl PseudoFs {
             if let Some(e) = faultfx::injected_error(k, path) {
                 return Err(e);
             }
-            if !self.render_into(k, view, path, buf) {
+            if registry::render(k, view, path, buf).is_none() {
                 return Err(FsError::NotFound(path.to_string()));
             }
             faultfx::distort(k, path, buf);
@@ -187,11 +176,11 @@ impl PseudoFs {
                 if let Some(e) = faultfx::injected_error(k, path) {
                     return Err(e);
                 }
-                if !self.render_into(k, view, path, buf) {
+                let Some(deps) = registry::render(k, view, path, buf) else {
                     return Err(FsError::NotFound(path.to_string()));
-                }
+                };
                 let rendered = std::sync::Arc::new(buf.clone());
-                k.render_cache_store_bytes(view_fp, path, deps_for(path), &rendered);
+                k.render_cache_store_bytes(view_fp, path, deps, &rendered);
                 faultfx::distort(k, path, buf);
                 note_read(k, path, buf.len());
                 Ok(())
@@ -254,11 +243,11 @@ impl PseudoFs {
                     return Err(e);
                 }
                 let mut buf = String::new();
-                if !self.render_into(k, view, path, &mut buf) {
+                let Some(deps) = registry::render(k, view, path, &mut buf) else {
                     return Err(FsError::NotFound(path.to_string()));
-                }
+                };
                 let mut rendered = std::sync::Arc::new(buf);
-                k.render_cache_store_bytes(view_fp, path, deps_for(path), &rendered);
+                k.render_cache_store_bytes(view_fp, path, deps, &rendered);
                 if k.fault_plan().is_some() {
                     let mut owned = (*rendered).clone();
                     faultfx::distort(k, path, &mut owned);
@@ -268,28 +257,6 @@ impl PseudoFs {
                 Ok(rendered)
             }
         }
-    }
-
-    /// Renders `path` into `buf` (fast `_into` arm when one exists,
-    /// otherwise the dispatch table); `false` means the path does not
-    /// resolve in this view.
-    fn render_into(&self, k: &Kernel, view: &View, path: &str, buf: &mut String) -> bool {
-        match path {
-            "/proc/meminfo" => proc_basic::meminfo_into(k, view, buf),
-            "/proc/stat" => proc_basic::stat_into(k, view, buf),
-            "/proc/uptime" => proc_basic::uptime_into(k, view, buf),
-            "/proc/loadavg" => proc_basic::loadavg_into(k, view, buf),
-            "/proc/interrupts" => proc_irq::interrupts_into(k, view, buf),
-            "/proc/softirqs" => proc_irq::softirqs_into(k, view, buf),
-            "/proc/schedstat" => proc_sched::schedstat_into(k, view, buf),
-            "/proc/sched_debug" => proc_sched::sched_debug_into(k, view, buf),
-            "/proc/timer_list" => proc_sched::timer_list_into(k, view, buf),
-            _ => match self.dispatch(k, view, path) {
-                Some(s) => *buf = s,
-                None => return false,
-            },
-        }
-        true
     }
 
     /// [`PseudoFs::read_into`] against a bounded destination: at most
@@ -358,56 +325,8 @@ impl PseudoFs {
             }
         };
 
-        for p in [
-            "/proc/cpuinfo",
-            "/proc/meminfo",
-            "/proc/stat",
-            "/proc/uptime",
-            "/proc/version",
-            "/proc/loadavg",
-            "/proc/interrupts",
-            "/proc/softirqs",
-            "/proc/schedstat",
-            "/proc/sched_debug",
-            "/proc/timer_list",
-            "/proc/locks",
-            "/proc/modules",
-            "/proc/zoneinfo",
-            "/proc/diskstats",
-            "/proc/sys/fs/dentry-state",
-            "/proc/sys/fs/inode-nr",
-            "/proc/sys/fs/file-nr",
-            "/proc/sys/kernel/random/boot_id",
-            "/proc/sys/kernel/random/entropy_avail",
-            "/proc/sys/kernel/random/uuid",
-            "/proc/sys/kernel/hostname",
-            "/proc/sys/kernel/osrelease",
-            "/proc/self/status",
-            "/proc/self/cgroup",
-            "/proc/net/dev",
-            "/proc/mounts",
-            "/proc/net/snmp",
-            "/proc/net/tcp",
-            "/proc/sys/kernel/pid_max",
-            "/proc/sys/kernel/threads-max",
-            "/proc/sys/vm/overcommit_memory",
-            "/proc/sys/vm/swappiness",
-            "/proc/vmstat",
-            "/proc/slabinfo",
-            "/proc/buddyinfo",
-            "/proc/swaps",
-            "/proc/partitions",
-            "/proc/filesystems",
-            "/proc/cgroups",
-            "/sys/devices/system/cpu/online",
-            "/sys/fs/cgroup/net_prio/net_prio.ifpriomap",
-            "/sys/fs/cgroup/net_prio/net_prio.prioidx",
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage",
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu",
-            "/sys/fs/cgroup/memory/memory.usage_in_bytes",
-            "/sys/fs/cgroup/memory/memory.max_usage_in_bytes",
-        ] {
-            push(p.to_string());
+        for r in ROUTES.iter().filter(|r| r.is_exact()) {
+            push(r.pattern.to_string());
         }
 
         let ncpus = k.config().cpus as usize;
@@ -499,171 +418,6 @@ impl PseudoFs {
         out.sort();
         out.dedup();
         out
-    }
-
-    fn dispatch(&self, k: &Kernel, view: &View, path: &str) -> Option<String> {
-        match path {
-            "/proc/cpuinfo" => return Some(proc_basic::cpuinfo(k, view)),
-            "/proc/meminfo" => return Some(proc_basic::meminfo(k, view)),
-            "/proc/stat" => return Some(proc_basic::stat(k, view)),
-            "/proc/uptime" => return Some(proc_basic::uptime(k, view)),
-            "/proc/version" => return Some(proc_basic::version(k, view)),
-            "/proc/loadavg" => return Some(proc_basic::loadavg(k, view)),
-            "/proc/interrupts" => return Some(proc_irq::interrupts(k, view)),
-            "/proc/softirqs" => return Some(proc_irq::softirqs(k, view)),
-            "/proc/schedstat" => return Some(proc_sched::schedstat(k, view)),
-            "/proc/sched_debug" => return Some(proc_sched::sched_debug(k, view)),
-            "/proc/timer_list" => return Some(proc_sched::timer_list(k, view)),
-            "/proc/locks" => return Some(proc_sched::locks(k, view)),
-            "/proc/modules" => return Some(proc_misc::modules(k, view)),
-            "/proc/zoneinfo" => return Some(proc_misc::zoneinfo(k, view)),
-            "/proc/diskstats" => return Some(proc_misc::diskstats(k, view)),
-            "/proc/sys/fs/dentry-state" => return Some(proc_kernel::dentry_state(k, view)),
-            "/proc/sys/fs/inode-nr" => return Some(proc_kernel::inode_nr(k, view)),
-            "/proc/sys/fs/file-nr" => return Some(proc_kernel::file_nr(k, view)),
-            "/proc/sys/kernel/random/boot_id" => return Some(proc_kernel::boot_id(k, view)),
-            "/proc/sys/kernel/random/entropy_avail" => {
-                return Some(proc_kernel::entropy_avail(k, view))
-            }
-            "/proc/sys/kernel/random/uuid" => return Some(proc_kernel::uuid(k, view)),
-            "/proc/sys/kernel/hostname" => return Some(proc_kernel::hostname(k, view)),
-            "/proc/sys/kernel/osrelease" => return Some(proc_kernel::osrelease(k, view)),
-            "/proc/self/status" => return Some(proc_pid::self_status(k, view)),
-            "/proc/self/cgroup" => return Some(proc_pid::self_cgroup(k, view)),
-            "/proc/net/dev" => return Some(proc_pid::net_dev(k, view)),
-            "/proc/mounts" => return Some(proc_pid::mounts(k, view)),
-            "/proc/net/snmp" => return Some(proc_pid::net_snmp(k, view)),
-            "/proc/net/tcp" => return Some(proc_pid::net_tcp(k, view)),
-            "/proc/sys/kernel/pid_max" => return Some(proc_kernel::pid_max(k, view)),
-            "/proc/sys/kernel/threads-max" => return Some(proc_kernel::threads_max(k, view)),
-            "/proc/sys/vm/overcommit_memory" => {
-                return Some(proc_kernel::overcommit_memory(k, view))
-            }
-            "/proc/sys/vm/swappiness" => return Some(proc_kernel::swappiness(k, view)),
-            "/proc/vmstat" => return Some(proc_vm::vmstat(k, view)),
-            "/proc/slabinfo" => return Some(proc_vm::slabinfo(k, view)),
-            "/proc/buddyinfo" => return Some(proc_vm::buddyinfo(k, view)),
-            "/proc/swaps" => return Some(proc_vm::swaps(k, view)),
-            "/proc/partitions" => return Some(proc_vm::partitions(k, view)),
-            "/proc/filesystems" => return Some(proc_vm::filesystems(k, view)),
-            "/proc/cgroups" => return Some(proc_vm::cgroups(k, view)),
-            "/sys/devices/system/cpu/online" => return Some(sys_power::cpu_online(k, view)),
-            "/sys/fs/cgroup/net_prio/net_prio.ifpriomap" => {
-                return Some(sys_cgroup::ifpriomap(k, view))
-            }
-            "/sys/fs/cgroup/net_prio/net_prio.prioidx" => {
-                return Some(sys_cgroup::prioidx(k, view))
-            }
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage" => {
-                return Some(sys_cgroup::cpuacct_usage(k, view))
-            }
-            "/sys/fs/cgroup/cpuacct/cpuacct.usage_percpu" => {
-                return Some(sys_cgroup::cpuacct_usage_percpu(k, view))
-            }
-            "/sys/fs/cgroup/memory/memory.usage_in_bytes" => {
-                return Some(sys_cgroup::memory_usage(k, view))
-            }
-            "/sys/fs/cgroup/memory/memory.max_usage_in_bytes" => {
-                return Some(sys_cgroup::memory_max_usage(k, view))
-            }
-            _ => {}
-        }
-
-        let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
-        match segs.as_slice() {
-            // /proc/sys/kernel/sched_domain/cpu{c}/domain0/max_newidle_lb_cost
-            ["proc", "sys", "kernel", "sched_domain", cpu, "domain0", "max_newidle_lb_cost"] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                proc_kernel::max_newidle_lb_cost(k, view, c)
-            }
-            // /proc/fs/ext4/{part}/mb_groups
-            ["proc", "fs", "ext4", part, "mb_groups"] => proc_misc::mb_groups(k, view, part),
-            // /proc/{pid}/{status,stat,cmdline,io,sched}
-            ["proc", pid, file] => {
-                let p: u32 = pid.parse().ok()?;
-                match *file {
-                    "status" => proc_pid::pid_status(k, view, p),
-                    "stat" => proc_pid::pid_stat(k, view, p),
-                    "cmdline" => proc_pid::pid_cmdline(k, view, p),
-                    "io" => proc_pid::pid_io(k, view, p),
-                    "sched" => proc_pid::pid_sched(k, view, p),
-                    _ => None,
-                }
-            }
-            // /sys/block/{disk}/stat
-            ["sys", "block", disk, "stat"] => sys_power::block_stat(k, view, disk),
-            // /sys/class/thermal/thermal_zone{z}/temp
-            ["sys", "class", "thermal", zone, "temp"] => {
-                let z: usize = zone.strip_prefix("thermal_zone")?.parse().ok()?;
-                sys_power::thermal_zone_temp(k, view, z)
-            }
-            // /sys/devices/system/cpu/cpu{c}/cpufreq/{file}
-            ["sys", "devices", "system", "cpu", cpu, "cpufreq", file] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                match *file {
-                    "scaling_cur_freq" => sys_power::cpufreq_cur(k, view, c),
-                    "cpuinfo_max_freq" => sys_power::cpufreq_max(k, view, c),
-                    _ => None,
-                }
-            }
-            // /sys/class/powercap/intel-rapl:{p}/{file}
-            ["sys", "class", "powercap", dom, file] => {
-                let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-                match *file {
-                    "name" => sys_power::rapl_name(k, view, p),
-                    "energy_uj" => sys_power::rapl_package_energy(k, view, p),
-                    "max_energy_range_uj" => sys_power::rapl_max_range(k, view, p),
-                    _ => None,
-                }
-            }
-            // /sys/class/powercap/intel-rapl:{p}/intel-rapl:{p}:{d}/{file}
-            ["sys", "class", "powercap", dom, sub, file] => {
-                let p: usize = dom.strip_prefix("intel-rapl:")?.parse().ok()?;
-                let rest = sub.strip_prefix("intel-rapl:")?;
-                let (p2, d) = rest.split_once(':')?;
-                if p2.parse::<usize>().ok()? != p {
-                    return None;
-                }
-                let d: usize = d.parse().ok()?;
-                match *file {
-                    "name" => sys_power::rapl_subdomain_name(k, view, p, d),
-                    "energy_uj" => sys_power::rapl_subdomain_energy(k, view, p, d),
-                    _ => None,
-                }
-            }
-            // /sys/devices/platform/coretemp.{pkg}/hwmon/hwmon{h}/temp{n}_input
-            ["sys", "devices", "platform", ct, "hwmon", _h, temp] => {
-                let pkg: usize = ct.strip_prefix("coretemp.")?.parse().ok()?;
-                let n: usize = temp
-                    .strip_prefix("temp")?
-                    .strip_suffix("_input")?
-                    .parse()
-                    .ok()?;
-                sys_power::coretemp(k, view, pkg, n)
-            }
-            // /sys/devices/system/cpu/cpu{c}/cpuidle/state{s}/{file}
-            ["sys", "devices", "system", "cpu", cpu, "cpuidle", state, file] => {
-                let c: usize = cpu.strip_prefix("cpu")?.parse().ok()?;
-                let s: usize = state.strip_prefix("state")?.parse().ok()?;
-                match *file {
-                    "name" => sys_power::cpuidle_name(k, view, c, s),
-                    "usage" => sys_power::cpuidle_usage(k, view, c, s),
-                    "time" => sys_power::cpuidle_time(k, view, c, s),
-                    _ => None,
-                }
-            }
-            // /sys/devices/system/node/node{n}/{file}
-            ["sys", "devices", "system", "node", node, file] => {
-                let n: usize = node.strip_prefix("node")?.parse().ok()?;
-                match *file {
-                    "numastat" => sys_node::numastat(k, view, n),
-                    "vmstat" => sys_node::vmstat(k, view, n),
-                    "meminfo" => sys_node::node_meminfo(k, view, n),
-                    _ => None,
-                }
-            }
-            _ => None,
-        }
     }
 }
 
@@ -776,6 +530,24 @@ mod tests {
                 "/sys/class/powercap/intel-rapl:7/energy_uj"
             )
             .is_err());
+        // The coretemp route requires the `hwmon*` directory: another
+        // directory name is not a sensor path, even though the package
+        // and sensor indices parse.
+        assert!(fs
+            .read(
+                &k,
+                &View::host(),
+                "/sys/devices/platform/coretemp.0/hwmon/hwmon0/temp1_input"
+            )
+            .is_ok());
+        let err = fs
+            .read(
+                &k,
+                &View::host(),
+                "/sys/devices/platform/coretemp.0/hwmon/sensors/temp1_input",
+            )
+            .unwrap_err();
+        assert!(matches!(err, FsError::NotFound(_)));
     }
 
     #[test]

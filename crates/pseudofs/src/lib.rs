@@ -11,7 +11,8 @@
 //! * A [`View`] captures *who is reading*: the host, or a container with a
 //!   namespace set, cgroup membership, and a cloud provider's
 //!   [`MaskPolicy`].
-//! * [`PseudoFs::read`] dispatches a path to its handler. Handlers for the
+//! * [`PseudoFs::read`] routes a path through [`ROUTES`], the one table
+//!   naming every pseudo-file, to its handler. Handlers for the
 //!   channels in the paper's Table I deliberately ignore the view's
 //!   namespaces (reading global kernel state), while control files like
 //!   `/proc/self/status`, `/proc/net/dev`, or `/proc/sys/kernel/hostname`

@@ -27,6 +27,18 @@ pub(crate) fn jiffies(ns: u64) -> u64 {
     ns / 10_000_000
 }
 
+/// Runs a buffer-writing renderer into a fresh `String`.
+#[cfg(test)]
+pub(crate) fn rendered(
+    f: fn(&simkernel::Kernel, &crate::View, &mut String),
+    k: &simkernel::Kernel,
+    view: &crate::View,
+) -> String {
+    let mut out = String::new();
+    f(k, view, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

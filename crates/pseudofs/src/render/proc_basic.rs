@@ -49,13 +49,6 @@ pub fn cpuinfo(k: &Kernel, view: &View) -> String {
 /// `/proc/meminfo`. LEAK (Table I): host memory totals and the MemFree
 /// trace used by the variation metric. `Partial` restricts to the
 /// container's limit and its own usage.
-pub fn meminfo(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    meminfo_into(k, view, &mut out);
-    out
-}
-
-/// [`meminfo`] writing into a caller-provided buffer.
 pub fn meminfo_into(k: &Kernel, view: &View, out: &mut String) {
     let partial = view.mask_action("/proc/meminfo") == Some(MaskAction::Partial);
     let m = k.mem();
@@ -138,13 +131,6 @@ fn container_usage(k: &Kernel, view: &View) -> u64 {
 
 /// `/proc/stat`. LEAK (Table I): host-wide kernel activity — per-CPU time
 /// breakdown, total interrupts, context switches, forks.
-pub fn stat(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    stat_into(k, view, &mut out);
-    out
-}
-
-/// [`stat`] writing into a caller-provided buffer.
 pub fn stat_into(k: &Kernel, _view: &View, out: &mut String) {
     let stats = k.sched().cpu_stats();
     let sum = |f: fn(&simkernel::sched::CpuSchedStats) -> u64| -> u64 { stats.iter().map(f).sum() };
@@ -187,13 +173,6 @@ pub fn stat_into(k: &Kernel, _view: &View, out: &mut String) {
 /// `/proc/uptime`. LEAK (Table I): host up time and accumulated idle time —
 /// a unique dynamic identifier (§III-C group 3) also used in §IV-C to group
 /// servers installed at the same time.
-pub fn uptime(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    uptime_into(k, view, &mut out);
-    out
-}
-
-/// [`uptime`] writing into a caller-provided buffer.
 pub fn uptime_into(k: &Kernel, _view: &View, out: &mut String) {
     let up = k.clock().uptime_secs();
     let idle = k.total_idle_ns() as f64 / NANOS_PER_SEC as f64;
@@ -211,13 +190,6 @@ pub fn version(k: &Kernel, _view: &View) -> String {
 }
 
 /// `/proc/loadavg`. LEAK (Table I): host CPU/IO utilization over time.
-pub fn loadavg(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    loadavg_into(k, view, &mut out);
-    out
-}
-
-/// [`loadavg`] writing into a caller-provided buffer.
 pub fn loadavg_into(k: &Kernel, _view: &View, out: &mut String) {
     let [l1, l5, l15] = k.sched().loadavg();
     let running = k
@@ -235,6 +207,7 @@ pub fn loadavg_into(k: &Kernel, _view: &View, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use crate::view::MaskPolicy;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -273,7 +246,7 @@ mod tests {
     #[test]
     fn meminfo_has_core_fields_in_kb() {
         let k = kernel();
-        let s = meminfo(&k, &View::host());
+        let s = rendered(meminfo_into, &k, &View::host());
         assert!(s.contains("MemTotal:"));
         assert!(s.contains("MemFree:"));
         let total_line = s.lines().next().unwrap();
@@ -289,7 +262,7 @@ mod tests {
     #[test]
     fn stat_has_percpu_and_counters() {
         let k = kernel();
-        let s = stat(&k, &View::host());
+        let s = rendered(stat_into, &k, &View::host());
         assert!(s.lines().next().unwrap().starts_with("cpu "));
         assert!(s.contains("cpu3 "));
         assert!(s.contains("ctxt "));
@@ -300,7 +273,7 @@ mod tests {
     #[test]
     fn uptime_tracks_clock() {
         let k = kernel();
-        let s = uptime(&k, &View::host());
+        let s = rendered(uptime_into, &k, &View::host());
         let up: f64 = s.split_whitespace().next().unwrap().parse().unwrap();
         assert!((up - 3.0).abs() < 0.01);
         let idle: f64 = s.split_whitespace().nth(1).unwrap().parse().unwrap();
@@ -312,7 +285,7 @@ mod tests {
     fn version_and_loadavg_format() {
         let k = kernel();
         assert!(version(&k, &View::host()).starts_with("Linux version 4.7.0"));
-        let la = loadavg(&k, &View::host());
+        let la = rendered(loadavg_into, &k, &View::host());
         assert_eq!(la.split_whitespace().count(), 5);
         assert!(la.contains('/'));
     }

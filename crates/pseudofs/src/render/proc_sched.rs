@@ -8,13 +8,6 @@ use crate::view::View;
 
 /// `/proc/schedstat`. LEAK (Table I/II): per-CPU run/wait time for the
 /// whole host (variation + indirect manipulation via pinned load).
-pub fn schedstat(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    schedstat_into(k, view, &mut out);
-    out
-}
-
-/// [`schedstat`] writing into a caller-provided buffer.
 pub fn schedstat_into(k: &Kernel, _view: &View, out: &mut String) {
     out.push_str("version 15\ntimestamp 4295000000\n");
     for (i, c) in k.sched().cpu_stats().iter().enumerate() {
@@ -34,13 +27,6 @@ pub fn schedstat_into(k: &Kernel, _view: &View, out: &mut String) {
 /// the host — names, host pids, vruntime — regardless of the reader's PID
 /// namespace. Directly manipulable: a tenant launches a process with a
 /// crafted name; co-resident containers find it here (§III-C group 2).
-pub fn sched_debug(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    sched_debug_into(k, view, &mut out);
-    out
-}
-
-/// [`sched_debug`] writing into a caller-provided buffer.
 pub fn sched_debug_into(k: &Kernel, _view: &View, out: &mut String) {
     let _ = writeln!(
         out,
@@ -76,13 +62,6 @@ pub fn sched_debug_into(k: &Kernel, _view: &View, out: &mut String) {
 /// `/proc/timer_list`. LEAK (Table II, top group): every armed hrtimer on
 /// the host with owner comm and host pid. The §IV-C orchestration uses
 /// this channel for co-residence verification.
-pub fn timer_list(k: &Kernel, view: &View) -> String {
-    let mut out = String::new();
-    timer_list_into(k, view, &mut out);
-    out
-}
-
-/// [`timer_list`] writing into a caller-provided buffer.
 pub fn timer_list_into(k: &Kernel, _view: &View, out: &mut String) {
     out.push_str("Timer List Version: v0.8\nHRTIMER_MAX_CLOCK_BASES: 4\n");
     let _ = writeln!(out, "now at {} nsecs", k.clock().since_boot_ns());
@@ -136,6 +115,7 @@ pub fn locks(k: &Kernel, _view: &View) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::render::rendered;
     use simkernel::fsstate::LockKind;
     use simkernel::MachineConfig;
     use workloads::models;
@@ -159,7 +139,7 @@ mod tests {
         .unwrap();
         k.advance_secs(1);
         let view = View::container(env.ns, env.cgroups);
-        let s = sched_debug(&k, &view);
+        let s = rendered(sched_debug_into, &k, &view);
         assert!(s.contains("host-daemon"), "host tasks leak");
         assert!(s.contains("sig-42aa"), "implanted signature visible");
     }
@@ -171,7 +151,7 @@ mod tests {
             .spawn_host_process("timer-owner", models::prime())
             .unwrap();
         k.add_user_timer(pid, "craft-77", 1_000_000_000).unwrap();
-        let s = timer_list(&k, &View::host());
+        let s = rendered(timer_list_into, &k, &View::host());
         assert!(s.contains("craft-77"));
         assert!(s.contains(&format!("/{}", pid.0)));
         assert!(s.contains("tick_sched_timer"));
@@ -193,7 +173,7 @@ mod tests {
     #[test]
     fn schedstat_per_cpu_lines() {
         let k = kernel();
-        let s = schedstat(&k, &View::host());
+        let s = rendered(schedstat_into, &k, &View::host());
         assert!(s.contains("cpu0 "));
         assert!(s.contains("cpu3 "));
         assert!(s.contains("domain0 "));

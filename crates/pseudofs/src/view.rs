@@ -94,48 +94,61 @@ impl MaskPolicy {
 ///
 /// Semantics: both are split on `/`; a `**` segment (only meaningful as the
 /// final segment) matches any remaining suffix including none; a `*` within
-/// a segment matches any run of characters in that segment.
+/// a segment matches any run of characters in that segment; a segment
+/// without `*` matches only an equal segment (an empty one, only an empty
+/// one). Allocation-free: masked reads, the detector tap and live policy
+/// swaps run it per path.
 pub fn glob_match(pattern: &str, path: &str) -> bool {
-    let pat: Vec<&str> = pattern.trim_start_matches('/').split('/').collect();
-    let segs: Vec<&str> = path.trim_start_matches('/').split('/').collect();
-    let mut i = 0;
-    for (pi, p) in pat.iter().enumerate() {
-        if *p == "**" {
+    let mut pat = Some(pattern.trim_start_matches('/'));
+    let mut segs = Some(path.trim_start_matches('/'));
+    while let Some((p, pat_rest)) = pat.map(first_segment) {
+        if p == "**" {
             // `**` must be last; matches everything remaining.
-            return pi == pat.len() - 1;
+            return pat_rest.is_none();
         }
-        match segs.get(i) {
-            Some(s) if segment_match(p, s) => i += 1,
+        match segs.map(first_segment) {
+            Some((s, segs_rest)) if segment_match(p, s) => segs = segs_rest,
             _ => return false,
         }
+        pat = pat_rest;
     }
-    i == segs.len()
+    segs.is_none()
 }
 
+/// Splits off the first `/`-separated segment; the rest is `None` when
+/// there was no separator (so `"a/"` is `"a"` then `""`, like `split`).
+fn first_segment(s: &str) -> (&str, Option<&str>) {
+    match s.bytes().position(|b| b == b'/') {
+        Some(i) => (&s[..i], Some(&s[i + 1..])),
+        None => (s, None),
+    }
+}
+
+/// Star matcher within one segment: the literal before the first `*` is
+/// anchored at the start, the literal after the last `*` at the end, and
+/// the literals between are found left to right in what remains.
 fn segment_match(pat: &str, seg: &str) -> bool {
-    // Simple star matcher within one segment.
-    let mut parts = pat.split('*').peekable();
-    let mut rest = seg;
-    let mut first = true;
-    let ends_with_star = pat.ends_with('*');
-    while let Some(part) = parts.next() {
-        if part.is_empty() {
-            first = false;
-            continue;
-        }
+    let Some(first) = pat.bytes().position(|b| b == b'*') else {
+        return pat == seg;
+    };
+    let last = pat.bytes().rposition(|b| b == b'*').unwrap_or(first);
+    let (head, tail) = (&pat[..first], &pat[last + 1..]);
+    let middle = if last > first {
+        &pat[first + 1..last]
+    } else {
+        ""
+    };
+    let Some(rest) = seg.strip_prefix(head) else {
+        return false;
+    };
+    let Some(mut rest) = rest.strip_suffix(tail) else {
+        return false;
+    };
+    for part in middle.split('*').filter(|p| !p.is_empty()) {
         match rest.find(part) {
-            Some(idx) => {
-                if first && idx != 0 {
-                    return false;
-                }
-                rest = &rest[idx + part.len()..];
-            }
+            Some(i) => rest = &rest[i + part.len()..],
             None => return false,
         }
-        if parts.peek().is_none() && !ends_with_star && !rest.is_empty() {
-            return false;
-        }
-        first = false;
     }
     true
 }
@@ -295,6 +308,7 @@ mod tests {
             "/sys/class/powercap/intel-rapl:0/energy_uj"
         ));
         assert!(!glob_match("/sys/class/powercap/**", "/sys/class/net/eth0"));
+        assert!(!glob_match("/proc/", "/proc/stat"));
     }
 
     #[test]
@@ -308,6 +322,15 @@ mod tests {
         assert!(glob_match("veth*", "veth1a2b3c"));
         assert!(!glob_match("veth*x", "veth1a2b3c"));
         assert!(glob_match("*rapl*", "intel-rapl:0"));
+        // The literal after the last `*` is anchored at the segment's end,
+        // not at its first occurrence.
+        assert!(glob_match("*.log", "a.log.log"));
+        assert!(glob_match("/x/temp*_input", "/x/temp_input1_input"));
+        assert!(!glob_match("/x/temp*_input", "/x/temp1_input2"));
+        // Head and tail literals may not overlap.
+        assert!(!glob_match("ab*ba", "aba"));
+        assert!(glob_match("a*b*c*d", "axxbyyczzd"));
+        assert!(!glob_match("a*c*b", "axxbyyc"));
     }
 
     #[test]

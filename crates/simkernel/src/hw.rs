@@ -277,13 +277,17 @@ impl Hardware {
     }
 
     /// Integrates one tick of load into energy counters, temperatures and
-    /// idle-state residency.
+    /// idle-state residency. Allocation-free once the model has ticked:
+    /// the last snapshot's per-package buffer first collects this tick's
+    /// (_, core, dram) sums, then is rewritten in place.
     pub fn tick(&mut self, dt_ns: u64, load: &[CpuTickLoad], rng: &mut StdRng) {
         let dt_s = dt_ns as f64 / NANOS_PER_SEC as f64;
         let p = self.params.clone();
         let npkg = self.rapl.package_count();
-        let mut pkg_core_w = vec![0.0f64; npkg];
-        let mut pkg_dram_w = vec![0.0f64; npkg];
+        let mut per_pkg = std::mem::take(&mut self.last_snapshot.per_package_w);
+        per_pkg.clear();
+        per_pkg.reserve_exact(npkg);
+        per_pkg.resize(npkg, (0.0, 0.0, 0.0));
         // Loop-invariant pieces of the per-CPU thermal/governor models.
         let alpha = 1.0 - (-dt_s / THERMAL_TAU_S).exp();
         let base_khz = self.freq_hz as f64 / 1_000.0;
@@ -310,8 +314,8 @@ impl Hardware {
             let dram_w = cm_rate * p.energy_per_dram_access_pj * 1e-12;
 
             let pkg = self.package_of(cpu);
-            pkg_core_w[pkg] += core_w;
-            pkg_dram_w[pkg] += dram_w;
+            per_pkg[pkg].1 += core_w;
+            per_pkg[pkg].2 += dram_w;
 
             // Thermal: first-order filter toward a power-dependent target.
             let target = AMBIENT_MC + core_w * MC_PER_W;
@@ -347,15 +351,11 @@ impl Hardware {
             }
         }
 
-        let mut snapshot = PowerSnapshot {
-            wall_w: 0.0,
-            per_package_w: Vec::with_capacity(npkg),
-        };
         let mut dc_w = p.platform_idle_w;
-        for pkg in 0..npkg {
+        for (pkg, watts) in per_pkg.iter_mut().enumerate() {
             let noise = 1.0 + rng.random_range(-p.noise_frac..p.noise_frac);
-            let core_w = pkg_core_w[pkg] * noise;
-            let dram_w = (p.dram_idle_w + pkg_dram_w[pkg]) * noise;
+            let core_w = watts.1 * noise;
+            let dram_w = (p.dram_idle_w + watts.2) * noise;
             let uncore_w = p.pkg_uncore_w;
             let pkg_w = core_w + dram_w + uncore_w;
             self.rapl.add(
@@ -364,11 +364,13 @@ impl Hardware {
                 dram_w * dt_s * 1e6,
                 uncore_w * dt_s * 1e6,
             );
-            snapshot.per_package_w.push((pkg_w, core_w, dram_w));
+            *watts = (pkg_w, core_w, dram_w);
             dc_w += pkg_w;
         }
-        snapshot.wall_w = dc_w / p.psu_efficiency;
-        self.last_snapshot = snapshot;
+        self.last_snapshot = PowerSnapshot {
+            wall_w: dc_w / p.psu_efficiency,
+            per_package_w: per_pkg,
+        };
     }
 
     /// Jumps the hardware to its quiescent-state value `rel_ns` after

@@ -127,6 +127,27 @@ proptest! {
         prop_assert!(glob_match(&pattern, &longer), "{pattern} !~ {longer}");
     }
 
+    /// A `*` stands for any run within a segment: replacing one in-segment
+    /// run of a path (empty, whole, or repeating the segment's tail
+    /// literal) with `*` yields a pattern that still matches the path.
+    #[test]
+    fn glob_star_matches_any_in_segment_run(
+        segs in proptest::collection::vec("[ab_.]{1,8}", 1..5),
+        pick in 0usize..64,
+        lo in 0usize..16,
+        hi in 0usize..16,
+    ) {
+        let path = format!("/{}", segs.join("/"));
+        let i = pick % segs.len();
+        let seg = &segs[i];
+        let n = seg.len() + 1;
+        let (lo, hi) = ((lo % n).min(hi % n), (lo % n).max(hi % n));
+        let mut pat_segs = segs.clone();
+        pat_segs[i] = format!("{}*{}", &seg[..lo], &seg[hi..]);
+        let pattern = format!("/{}", pat_segs.join("/"));
+        prop_assert!(glob_match(&pattern, &path), "{pattern} !~ {path}");
+    }
+
     /// Breaker: never trips at or below rating; always trips at sustained
     /// gross overload; trip time decreases with load.
     #[test]

@@ -19,19 +19,19 @@ fn joined_rows() -> Vec<agreement::Agreement> {
     agreement::check(&h.kernel, &h.container_view(), &report)
 }
 
-/// The nine hot (buffer-writing fast path) channels are the paper's
-/// highest-rate probes; all nine must be statically classified as
-/// unrouted and dynamically observed leaking.
+/// The nine hot channels, whose renderers write straight into the read
+/// buffer (`_into`), are the paper's highest-rate probes; all nine must
+/// be statically classified as unrouted and dynamically observed leaking.
 #[test]
 fn hot_probe_channels_agree_as_leaking() {
     let report = leakcheck::audit().expect("static audit succeeds");
     let rows = joined_rows();
     let fast: Vec<&str> = ROUTES
         .iter()
-        .filter(|r| r.fast_into.is_some())
+        .filter(|r| r.handler.ends_with("_into"))
         .map(|r| r.probe)
         .collect();
-    assert_eq!(fast.len(), 9, "nine hand-written fast paths");
+    assert_eq!(fast.len(), 9, "nine buffer-writing renderers");
     for probe in fast {
         let ch = report
             .channels
@@ -84,8 +84,7 @@ fn full_tree_static_dynamic_agreement() {
 
 /// Registry completeness, from the static side: every audited channel
 /// resolved to a handler, and the audit's channel count matches the
-/// registry (the audit itself cross-checks the registry against the
-/// parsed `fs.rs` dispatch arms and errors on drift).
+/// route table every read goes through.
 #[test]
 fn audit_covers_the_whole_registry() {
     let report = leakcheck::audit().expect("static audit succeeds");
